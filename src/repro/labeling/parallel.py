@@ -52,7 +52,7 @@ from repro.observability.propagation import (
     stitch,
 )
 from repro.observability.tracing import get_tracer
-from repro.skyline.set_ops import SkylineSet, join, merge, truncate
+from repro.skyline.set_ops import SkylineSet, join_union, truncate
 from repro.supervise.pool import SupervisedPool
 from repro.supervise.supervisor import (
     SupervisionConfig,
@@ -71,6 +71,26 @@ _MAX_SKYLINE: int | None = None
 _SPOOL: WorkerSpool | None = None
 
 
+def label_row(
+    tree: TreeDecomposition,
+    store: LabelStore,
+    v: int,
+    u: int,
+) -> SkylineSet:
+    """``P(v, u) = skyline(⋃_{w ∈ X(v)\\{v}} S(v, w) ⊗ P(w, u))``.
+
+    One :func:`~repro.skyline.set_ops.join_union` over the hubs of
+    ``v`` (``S(v, u)`` itself when ``w == u``); reads only labels of
+    ``v``'s strict ancestors.  The label recurrence in one place,
+    shared by the builders and live-update repair.
+    """
+    shortcuts_v = tree.shortcuts[v]
+    return join_union([
+        (shortcuts_v[w], None if w == u else store.get(w, u), w)
+        for w in tree.bag[v]
+    ])
+
+
 def label_rows_for(
     tree: TreeDecomposition,
     store: LabelStore,
@@ -82,23 +102,15 @@ def label_rows_for(
     Pure function of the tree and the labels of ``v``'s strict
     ancestors; the single per-vertex kernel shared by the sequential
     and parallel builders, so the two cannot drift.  ``joins`` counts
-    the skyline joins performed (the build-cost unit the sequential
-    builder reports).
+    the skyline joins performed (one per ``(v, u, w != u)``, the
+    build-cost unit the sequential builder reports).
     """
     hubs = tree.bag[v]  # X(v)\{v}, all ancestors of X(v)
-    shortcuts_v = tree.shortcuts[v]
     rows: list[tuple[int, SkylineSet]] = []
     joins = 0
     for u in tree.ancestors(v):
-        acc: SkylineSet = []
-        for w in hubs:
-            s_vw = shortcuts_v[w]
-            if w == u:
-                part = s_vw
-            else:
-                part = join(s_vw, store.get(w, u), mid=w)
-                joins += 1
-            acc = merge(acc, part) if acc else list(part)
+        acc = label_row(tree, store, v, u)
+        joins += len(hubs) - (u in hubs)
         if max_skyline is not None:
             acc = truncate(acc, max_skyline)
         rows.append((u, acc))

@@ -6,9 +6,13 @@ decreasing weight, with no entry dominated by another (Definitions 4-6).
 One representative is kept per ``(w, c)`` pair — the paper's queries only
 ever need one optimal path per pair.
 
-This module is the hot kernel of the whole reproduction: the tree
-decomposition's shortcut maintenance, the label construction, and every
-baseline query reduce to :func:`merge` and :func:`join` calls.
+This module is the hot kernel of the whole reproduction.  Every
+"skyline of a union of joins" — the tree decomposition's shortcut
+fold, the label recurrence ``P(v,u) = skyline(⋃_w S(v,w) ⊗ P(w,u))``,
+live-update repair, and the cached engine's full-frontier path — is one
+:func:`join_union` call.  :func:`join` and :func:`merge` remain as the
+reference implementation of the same algebra (a per-part join followed
+by a pairwise merge fold); the property tests hold the two equal.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from repro.skyline.compare import costs_equal
 from repro.skyline.entries import Entry, join_entry
 
 SkylineSet = list[Entry]
+
+JoinPart = tuple[Sequence[Entry], Sequence[Entry] | None, int]
+"""``(a, b, mid)``: the products ``a ⊗_mid b``, or ``a`` as-is when
+``b is None``."""
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -70,9 +78,10 @@ def skyline_of(entries: Iterable[Entry]) -> SkylineSet:
 def merge(a: Sequence[Entry], b: Sequence[Entry]) -> SkylineSet:
     """Skyline of the union of two canonical skyline sets.
 
-    Linear two-pointer merge on cost followed by the Pareto sweep; used to
-    fold path-through-v shortcuts into existing shortcut sets during the
-    tree decomposition.
+    Linear two-pointer merge on cost followed by the Pareto sweep; on
+    equal ``(w, c)`` pairs ``a``'s entry is kept.  Together with
+    :func:`join` it is the reference fold that :func:`join_union`
+    evaluates in one pass.
     """
     if not a:
         return list(b)
@@ -120,7 +129,10 @@ def join(
     during index construction).
 
     Complexity is ``O(|a| |b| log)`` — the Cartesian product the paper's
-    CSP-2Hop pays at query time and QHL moves to index time.
+    CSP-2Hop pays at query time and QHL moves to index time.  On equal
+    ``(w, c)`` products the earliest ``(left, right)`` one is kept.
+    Index construction evaluates whole unions of joins with
+    :func:`join_union`; this is the per-part reference.
     """
     if not a or not b:
         return []
@@ -136,6 +148,100 @@ def join(
                 break
             products.append(join_entry(left, right, mid))
     return skyline_of(products)
+
+
+def join_union(parts: Iterable[JoinPart]) -> SkylineSet:
+    """``skyline(⋃ a ⊗_mid b)`` over canonical ``(a, b, mid)`` parts.
+
+    Equal to folding ``merge(acc, join(a, b, mid))`` over the parts in
+    order (a part with ``b is None`` contributing ``a`` itself), down to
+    provenance: among equal ``(w, c)`` products the earliest part wins,
+    and within a part the earliest ``(left, right)`` product.  Instead
+    of materialising and sorting every part's products with provenance,
+    it lists the candidates of all parts once, sorts them once, runs one
+    Pareto sweep, and builds a :func:`~repro.skyline.entries.join_entry`
+    only for the survivors.
+
+    Two bounds skip products that are *strictly* dominated, so skipping
+    them cannot change the sweep (which never keeps a dominated entry):
+
+    * ``cost_cap`` — the cost of the lightest extreme product
+      ``a[-1] ⊕ b[-1]`` (min ``(w, c)`` over the parts).  Its weight is
+      the least of any product, so a dearer product is dominated by it.
+    * ``weight_cap`` — the weight of the cheapest extreme product
+      ``a[0] ⊕ b[0]`` (min ``(c, w)``), symmetrically.
+
+    ``b`` is cost-sorted, so the inner loop stops at the first product
+    over ``cost_cap``; ``a`` is too, so the outer loop stops likewise.
+    """
+    live = [
+        part for part in parts
+        if part[0] and (part[1] is None or part[1])
+    ]
+    if not live:
+        return []
+    lightest = min(  # (w, c) of each part's a[-1] ⊕ b[-1]
+        (a[-1][0], a[-1][1]) if b is None
+        else (a[-1][0] + b[-1][0], a[-1][1] + b[-1][1])
+        for a, b, _mid in live
+    )
+    cheapest = min(  # (c, w) of each part's a[0] ⊕ b[0]
+        (a[0][1], a[0][0]) if b is None
+        else (a[0][1] + b[0][1], a[0][0] + b[0][0])
+        for a, b, _mid in live
+    )
+    cost_cap = lightest[1]
+    weight_cap = cheapest[1]
+
+    # (cost, weight, seq, left, right, mid): ``seq`` is the fold order,
+    # unique, so the sort never compares entries and ties resolve to
+    # the earliest part / product.
+    candidates: list[
+        tuple[float, float, int, Entry, Entry | None, int]
+    ] = []
+    append = candidates.append
+    seq = 0
+    for a, b, mid in live:
+        if b is None:
+            for entry in a:
+                w, c = entry[0], entry[1]
+                if c > cost_cap:
+                    break
+                if w <= weight_cap:
+                    append((c, w, seq, entry, None, mid))
+                    seq += 1
+            continue
+        b_cost = b[0][1]
+        b_weight = b[-1][0]
+        for left in a:
+            lw, lc = left[0], left[1]
+            if lc + b_cost > cost_cap:
+                break
+            if lw + b_weight > weight_cap:
+                continue
+            for right in b:
+                c = lc + right[1]
+                if c > cost_cap:
+                    break
+                w = lw + right[0]
+                if w <= weight_cap:
+                    append((c, w, seq, left, right, mid))
+                    seq += 1
+    candidates.sort()
+
+    # Pareto sweep: candidates come in (cost, weight, seq) order, so the
+    # first one at each cost is its lightest and earliest; any later
+    # one at the same cost weighs at least ``best``.
+    result: SkylineSet = []
+    best: float | None = None
+    for _c, w, _seq, left, right, mid in candidates:
+        if best is not None and w >= best:
+            continue
+        result.append(
+            left if right is None else join_entry(left, right, mid)
+        )
+        best = w
+    return result
 
 
 def cartesian_entries(
